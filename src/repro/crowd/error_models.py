@@ -26,6 +26,18 @@ class ErrorModel(ABC):
     ) -> float:
         """Probability that a worker answers the pair ``(a, b)`` wrongly."""
 
+    def error_probabilities(
+        self, truth: GroundTruth, a: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`error_probability` of every pair ``(a[i], b[i])``."""
+        return np.array(
+            [
+                self.error_probability(truth, x, y)
+                for x, y in zip(a.tolist(), b.tolist())
+            ],
+            dtype=np.float64,
+        )
+
     def worker_answer(
         self,
         truth: GroundTruth,
@@ -48,6 +60,11 @@ class PerfectWorkers(ErrorModel):
     ) -> float:
         return 0.0
 
+    def error_probabilities(
+        self, truth: GroundTruth, a: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
+        return np.zeros(len(a))
+
     def __repr__(self) -> str:
         return "PerfectWorkers()"
 
@@ -67,6 +84,11 @@ class UniformError(ErrorModel):
         self, truth: GroundTruth, a: Element, b: Element
     ) -> float:
         return self.rate
+
+    def error_probabilities(
+        self, truth: GroundTruth, a: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
+        return np.full(len(a), self.rate)
 
     def __repr__(self) -> str:
         return f"UniformError(rate={self.rate:g})"
@@ -97,6 +119,12 @@ class DistanceSensitiveError(ErrorModel):
     ) -> float:
         gap = truth.rank_gap(a, b)
         return self.base * float(np.exp(-(gap - 1) / self.scale))
+
+    def error_probabilities(
+        self, truth: GroundTruth, a: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
+        gap = np.abs(truth.ranks_of(a) - truth.ranks_of(b))
+        return self.base * np.exp(-(gap - 1) / self.scale)
 
     def __repr__(self) -> str:
         return f"DistanceSensitiveError(base={self.base:g}, scale={self.scale:g})"

@@ -44,12 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.crowd.platform import (
-    BatchResult,
-    Platform,
-    PlatformStats,
-    WorkerAnswer,
-)
+from repro.crowd.platform import BatchResult, Platform, PlatformStats
 from repro.errors import InvalidParameterError, PlatformOutageError
 from repro.obs.events import FaultInjected
 from repro.obs.metrics import get_registry
@@ -303,74 +298,73 @@ class FaultyPlatform(Platform):
         rng = self._fault_rng
         batch_index = self.fault_stats.batches_seen
         self.fault_stats.batches_seen += 1
+        n_posted = len(questions)
         window = profile.outage_window
-        if questions and window is not None and (
+        if n_posted and window is not None and (
             window[0] <= self.clock < window[1]
         ):
             # Deterministic sustained outage: no fault-RNG draw, so the
             # random fault stream stays aligned with a window-free run.
             self.fault_stats.outages += 1
-            self._record_fault("outage", len(questions), batch_index)
+            self._record_fault("outage", n_posted, batch_index)
             logger.debug(
                 "batch %d: sustained outage window swallowed %d question(s)",
                 batch_index,
-                len(questions),
+                n_posted,
             )
             raise PlatformOutageError(
                 f"platform down for maintenance until t={window[1]:g}s; "
-                f"batch of {len(questions)} question(s) swallowed",
+                f"batch of {n_posted} question(s) swallowed",
                 wasted_seconds=profile.outage_detection_time,
             )
-        if questions and profile.outage_prob > 0 and (
+        if n_posted and profile.outage_prob > 0 and (
             rng.random() < profile.outage_prob
         ):
             self.fault_stats.outages += 1
-            self._record_fault("outage", len(questions), batch_index)
+            self._record_fault("outage", n_posted, batch_index)
             logger.debug(
                 "batch %d: injected outage swallowed %d question(s)",
                 batch_index,
-                len(questions),
+                n_posted,
             )
             raise PlatformOutageError(
                 f"injected platform outage swallowed a batch of "
-                f"{len(questions)} question(s)",
+                f"{n_posted} question(s)",
                 wasted_seconds=profile.outage_detection_time,
             )
         result = self.inner.post_batch(questions)
-        if profile.is_zero or not result.worker_answers:
+        if profile.is_zero or not result.n_answers:
             return result
-        answers = list(result.worker_answers)
-        answers, n_abandoned = self._remove(
-            answers, profile.abandon_prob, rng
-        )
-        answers, n_dropped = self._remove(answers, profile.drop_prob, rng)
-        n_stragglers = 0
-        if profile.straggler_prob > 0 and answers:
-            delayed: List[WorkerAnswer] = []
-            for answer in answers:
-                if rng.random() < profile.straggler_prob:
-                    n_stragglers += 1
-                    answer = dataclasses.replace(
-                        answer,
-                        submit_time=answer.submit_time
-                        * profile.straggler_multiplier,
-                    )
-                delayed.append(answer)
-            answers = delayed
-        n_duplicates = 0
-        if profile.duplicate_prob > 0 and answers:
-            copies: List[WorkerAnswer] = []
-            for answer in answers:
+        # Row selection over the result's columns.  Every per-answer draw
+        # below is one fault-RNG double per surviving answer, in answer
+        # order, so a vector draw consumes exactly the scalar loop's stream.
+        rows = np.arange(result.n_answers)
+        submit = result.submit_time
+        n_abandoned = n_dropped = n_stragglers = n_duplicates = 0
+        if profile.abandon_prob > 0 and rows.size:
+            kept = rows[rng.random(rows.size) >= profile.abandon_prob]
+            n_abandoned, rows = rows.size - kept.size, kept
+        if profile.drop_prob > 0 and rows.size:
+            kept = rows[rng.random(rows.size) >= profile.drop_prob]
+            n_dropped, rows = rows.size - kept.size, kept
+        submit = submit[rows]
+        if profile.straggler_prob > 0 and rows.size:
+            slow = rng.random(rows.size) < profile.straggler_prob
+            n_stragglers = int(slow.sum())
+            submit = np.where(slow, submit * profile.straggler_multiplier, submit)
+        if profile.duplicate_prob > 0 and rows.size:
+            # Scalar on purpose: a duplicate's delay draw is interleaved
+            # with the next answer's duplicate decision.
+            copies: List[int] = []
+            delays: List[float] = []
+            for position in range(rows.size):
                 if rng.random() < profile.duplicate_prob:
-                    n_duplicates += 1
-                    copies.append(
-                        dataclasses.replace(
-                            answer,
-                            submit_time=answer.submit_time
-                            + rng.uniform(0.0, profile.duplicate_delay),
-                        )
-                    )
-            answers.extend(copies)
+                    copies.append(position)
+                    delays.append(rng.uniform(0.0, profile.duplicate_delay))
+            n_duplicates = len(copies)
+            if copies:
+                rows = np.concatenate([rows, rows[copies]])
+                submit = np.concatenate([submit, submit[copies] + delays])
         self.fault_stats.abandoned += n_abandoned
         self.fault_stats.dropped += n_dropped
         self.fault_stats.stragglers += n_stragglers
@@ -383,26 +377,16 @@ class FaultyPlatform(Platform):
         ):
             if count:
                 self._record_fault(fault, count, batch_index)
-        completion = max(
-            (answer.submit_time for answer in answers), default=0.0
-        )
+        worker_id = result.worker_id[rows]
         return BatchResult(
-            worker_answers=tuple(answers),
-            completion_time=completion,
-            n_workers=len({answer.worker_id for answer in answers}),
+            questions=result.questions,
+            copy=result.copy[rows],
+            first_wins=result.first_wins[rows],
+            submit_time=submit,
+            worker_id=worker_id,
+            completion_time=float(submit.max()) if submit.size else 0.0,
+            n_workers=len(np.unique(worker_id)),
         )
-
-    @staticmethod
-    def _remove(
-        answers: List[WorkerAnswer],
-        probability: float,
-        rng: np.random.Generator,
-    ) -> Tuple[List[WorkerAnswer], int]:
-        """Independently delete each answer with *probability*."""
-        if probability == 0 or not answers:
-            return answers, 0
-        survivors = [a for a in answers if rng.random() >= probability]
-        return survivors, len(answers) - len(survivors)
 
     def _record_fault(self, fault: str, count: int, batch_index: int) -> None:
         get_registry().counter(f"faults.{fault}").inc(count)

@@ -42,8 +42,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.crowd.breaker import RoundDecision
 from repro.crowd.multibackend.backend import Backend
+from repro.crowd.platform import as_question_array
 from repro.crowd.rwl import RWLResult
 from repro.errors import InvalidParameterError, PlatformOutageError
 from repro.obs.events import RoundHedged
@@ -51,7 +54,7 @@ from repro.obs.metrics import get_registry, labeled_name
 from repro.obs.spans import current_span, emit_span, span_scope
 from repro.obs.stats import percentile
 from repro.obs.tracer import current_tracer
-from repro.types import Answer, Question
+from repro.types import AnswerColumns, Question
 
 logger = logging.getLogger(__name__)
 
@@ -123,11 +126,15 @@ class HedgeConfig:
 
 @dataclass(frozen=True)
 class _SubRound:
-    """What posting one backend's sub-batch produced (or cost)."""
+    """What posting one backend's sub-batch produced (or cost).
+
+    ``winners`` holds the winning element of each sub-batch position
+    (``-1`` where no answer arrived).
+    """
 
     ok: bool
     latency: float
-    answers: Tuple[Answer, ...] = ()
+    winners: Optional[np.ndarray] = None
     posted_copies: int = 0
 
 
@@ -182,17 +189,23 @@ class RouteDecision:
         return payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundOutcome:
     """What one routed shared round produced, aggregated over the fleet.
 
+    The round's positions are its units' questions concatenated in unit
+    order; every backend's answers are scattered back to the positions
+    of its sub-batch.
+
     Attributes:
-        answers: all answers, concatenated in backend order.
+        questions: the round's questions as an ``(n, 2)`` element array.
+        winners: the winning element of every position, ``-1`` where no
+            answer arrived (outage, fault or no capacity).
         latency: the round's simulated latency — the max over posted
             backends (sub-batches run in parallel).
         n_posted: distinct questions successfully posted (assigned to a
             backend that returned a batch).
-        unposted: questions no backend had capacity for this round.
+        unposted: marks the positions no backend had capacity for.
         total_outage: every posting backend suffered a whole-batch
             outage (mirrors the single-platform ``PlatformOutageError``
             path in the scheduler).
@@ -205,15 +218,24 @@ class RoundOutcome:
             ``hedge``); empty when hedging is off.
     """
 
-    answers: Tuple[Answer, ...]
+    questions: np.ndarray
+    winners: np.ndarray
     latency: float
     n_posted: int
-    unposted: frozenset
+    unposted: np.ndarray
     total_outage: bool
     decision: RouteDecision
     backend_latencies: Dict[str, float]
     outaged: Tuple[str, ...]
     hedged_questions: frozenset = frozenset()
+
+    @property
+    def answers(self) -> AnswerColumns:
+        """The round's answers, in position order."""
+        answered = self.winners >= 0
+        winners = self.winners[answered]
+        pairs = self.questions[answered]
+        return AnswerColumns(winners, pairs[:, 0] + pairs[:, 1] - winners)
 
 
 class CapacityAwareRouter:
@@ -365,6 +387,7 @@ class CapacityAwareRouter:
                 )
                 for b in self.backends
             }
+        pairs = as_question_array([q for _, block in units for q in block])
         assignment, unposted, remaining = self._assign(
             units, decisions, budgets=budgets
         )
@@ -386,7 +409,7 @@ class CapacityAwareRouter:
         if unposted:
             registry.counter("router.deferred_questions").inc(len(unposted))
 
-        answers: List[Answer] = []
+        round_winners = np.full(len(pairs), -1, dtype=np.int64)
         latency = 0.0
         n_posted = 0
         backend_latencies: Dict[str, float] = {}
@@ -396,9 +419,10 @@ class CapacityAwareRouter:
         tracer = current_tracer()
         scope = current_span() if tracer.enabled else None
         for backend in self.backends:
-            sub_batch = assignment[backend.index]
-            if not sub_batch:
+            positions = assignment[backend.index]
+            if not positions:
                 continue
+            sub_batch = pairs[positions]
             posted_any = True
             probe = decisions[backend.index] is RoundDecision.PROBE
             primary = self._execute_sub_batch(
@@ -417,7 +441,7 @@ class CapacityAwareRouter:
                     backend_latencies, backend.name, primary.latency
                 )
                 if primary.ok:
-                    answers.extend(primary.answers)
+                    round_winners[positions] = primary.winners
                     latency = max(latency, primary.latency)
                     n_posted += len(sub_batch)
                 else:
@@ -425,7 +449,7 @@ class CapacityAwareRouter:
                     outaged.append(backend.name)
                 continue
             # Hedged pair: mirror the sub-batch, first answer wins.
-            hedged_questions.update(sub_batch)
+            hedged_questions.update(map(tuple, sub_batch.tolist()))
             self.hedges += 1
             registry.counter("hedge.posts").inc()
             mirror_result = self._execute_sub_batch(
@@ -446,7 +470,7 @@ class CapacityAwareRouter:
                     winners,
                     key=lambda br: (br[1].latency, br[0] is not backend),
                 )
-                answers.extend(win_result.answers)
+                round_winners[positions] = win_result.winners
                 latency = max(latency, win_result.latency)
                 n_posted += len(sub_batch)
                 if win_backend is mirror:
@@ -485,11 +509,14 @@ class CapacityAwareRouter:
                 )
         successful = set(backend_latencies) - set(outaged)
         total_outage = posted_any and not successful
+        unposted_mask = np.zeros(len(pairs), dtype=bool)
+        unposted_mask[unposted] = True
         return RoundOutcome(
-            answers=tuple(answers),
+            questions=pairs,
+            winners=round_winners,
             latency=latency,
             n_posted=n_posted,
-            unposted=frozenset(unposted),
+            unposted=unposted_mask,
             total_outage=total_outage,
             decision=decision,
             backend_latencies=backend_latencies,
@@ -500,7 +527,7 @@ class CapacityAwareRouter:
     def _execute_sub_batch(
         self,
         backend: Backend,
-        sub_batch: List[Question],
+        sub_batch: np.ndarray,
         registry,
         tracer,
         scope,
@@ -581,7 +608,7 @@ class CapacityAwareRouter:
         return _SubRound(
             ok=True,
             latency=float(result.latency),
-            answers=tuple(result.answers),
+            winners=result.winners[result.index],
             posted_copies=int(result.questions_posted),
         )
 
@@ -597,7 +624,7 @@ class CapacityAwareRouter:
     def _post_backend(
         self,
         backend: Backend,
-        sub_batch: List[Question],
+        sub_batch: np.ndarray,
         span_id: Optional[str],
         scope,
         *,
@@ -663,7 +690,7 @@ class CapacityAwareRouter:
 
     def _plan_hedges(
         self,
-        assignment: Dict[int, List[Question]],
+        assignment: Dict[int, List[int]],
         remaining: Dict[int, int],
         decisions: Dict[int, RoundDecision],
     ) -> Dict[int, Backend]:
@@ -808,9 +835,10 @@ class CapacityAwareRouter:
         units: Sequence[Tuple[int, Sequence[Question]]],
         decisions: Dict[int, RoundDecision],
         budgets: Optional[Dict[int, float]] = None,
-    ) -> Tuple[Dict[int, List[Question]], List[Question], Dict[int, int]]:
-        """Place every unit; returns (per-backend batches, unposted,
-        remaining per-backend capacity).
+    ) -> Tuple[Dict[int, List[int]], List[int], Dict[int, int]]:
+        """Place every unit; returns (per-backend round positions, unposted
+        round positions, remaining per-backend capacity).  A round
+        position indexes the units' questions concatenated in unit order.
 
         Phase 1 keeps units whole on the policy-preferred backend with
         room; phase 2 splits units that fit nowhere whole across the
@@ -822,16 +850,18 @@ class CapacityAwareRouter:
         predicted-fastest candidate instead — near-deadline queries
         trade price/load preferences for speed.
         """
-        assignment: Dict[int, List[Question]] = {
+        assignment: Dict[int, List[int]] = {
             b.index: [] for b in self.backends
         }
         remaining: Dict[int, int] = {
             b.index: self._round_capacity(b, decisions[b.index])
             for b in self.backends
         }
-        unposted: List[Question] = []
+        unposted: List[int] = []
+        start = 0
         for query_id, questions in units:
-            block = list(questions)
+            block = list(range(start, start + len(questions)))
+            start += len(questions)
             candidates = [
                 b
                 for b in self.backends

@@ -425,7 +425,7 @@ def restore_scheduler_state(
     scheduler._backlog = [_spec_from_dict(d) for d in snapshot["backlog"]]
     scheduler._waiting = [_active_query_from_dict(d) for d in snapshot["waiting"]]
     scheduler._active = [_active_query_from_dict(d) for d in snapshot["active"]]
-    scheduler._results = [_result_from_dict(d) for d in snapshot["results"]]
+    scheduler.restore_results([_result_from_dict(d) for d in snapshot["results"]])
 
     if scheduler._router is not None:
         backends_payload = snapshot.get("backends")
