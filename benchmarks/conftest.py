@@ -34,12 +34,22 @@ def bench_artifact(request):
     setup), which is exactly what a CI wall-clock regression gate cares
     about.  Works under ``--benchmark-disable`` too — pytest-benchmark
     then runs the body once untimed, but this fixture still times it.
+
+    The metrics registry is process-global, so it is reset before the
+    bench, and the artifact carries only the instruments the bench
+    created or changed — never an earlier bench's leftovers.
     """
     from repro.obs.metrics import get_registry
 
+    registry = get_registry()
+    registry.reset()
+    untouched = registry.snapshot()
     start = time.perf_counter()
     yield
     seconds = time.perf_counter() - start
-    emit_artifact(
-        request.node.name, seconds, metrics=get_registry().snapshot()
-    )
+    metrics = {
+        name: state
+        for name, state in registry.snapshot().items()
+        if untouched.get(name) != state
+    }
+    emit_artifact(request.node.name, seconds, metrics=metrics)

@@ -1,6 +1,10 @@
 """Tests for benchmark regression artifacts (``repro.bench``)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +48,63 @@ class TestArtifacts:
         )
         assert artifact["metrics"]["lat"]["count"] == 1
         assert "samples" not in artifact["metrics"]["lat"]  # compacted
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+TWO_BENCHES = """
+from repro.obs.metrics import get_registry
+
+
+def bench_first():
+    get_registry().counter("isolation.first").inc(3)
+
+
+def bench_second():
+    get_registry().counter("isolation.second").inc(5)
+"""
+
+
+class TestBenchFixtureIsolation:
+    def test_metrics_do_not_leak_between_benches(self, tmp_path):
+        """Two benches in one session: each artifact holds its own metrics."""
+        (tmp_path / "bench_isolation.py").write_text(TWO_BENCHES)
+        artifacts = tmp_path / "artifacts"
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                [str(REPO / "benchmarks"), str(REPO / "src")]
+            ),
+            REPRO_BENCH_ARTIFACTS=str(artifacts),
+        )
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "bench_isolation.py", "-q",
+                "-p", "no:cacheprovider",
+                # The benchmark fixtures, loaded as a plugin by module name.
+                "-p", "conftest",
+                "-c", str(REPO / "pyproject.toml"),
+                "--rootdir", str(tmp_path),
+            ],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stdout + completed.stderr
+        metrics = {
+            name: json.loads(
+                (artifacts / f"BENCH_bench_{name}.json").read_text()
+            )["metrics"]
+            for name in ("first", "second")
+        }
+        assert metrics["first"] == {
+            "isolation.first": {"type": "counter", "value": 3}
+        }
+        assert metrics["second"] == {
+            "isolation.second": {"type": "counter", "value": 5}
+        }
 
 
 class TestLoadBenchTimes:
