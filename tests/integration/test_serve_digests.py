@@ -2,7 +2,8 @@
 
 Each case drives a :class:`~repro.service.MaxScheduler` to completion and
 hashes ``(report.results, makespan, ticks, questions_posted)`` with
-SHA-256; journaled cases also hash the journal file.  The digests in
+SHA-256; journaled cases also hash the journal file, and traced cases the
+trace stream (wall-clock ``seconds`` payloads zeroed).  The digests in
 ``golden/serve_digests.json`` must not move under a pure refactor or
 optimisation of the platform, RWL, router or scheduler layers.
 
@@ -13,6 +14,7 @@ To regenerate after an *intentional* behaviour change::
 then say in the change description why the simulated outcome moved.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -26,6 +28,7 @@ from repro.crowd.breaker import CircuitBreakerConfig
 from repro.crowd.error_models import UniformError
 from repro.crowd.faults import RetryPolicy, fault_profile_by_name
 from repro.crowd.multibackend import HedgeConfig, backend_preset_by_name
+from repro.obs.tracer import RecordingTracer, use_tracer
 from repro.service import (
     MaxScheduler,
     SchedulerJournal,
@@ -49,6 +52,22 @@ def _report_digest(report):
         (report.results, report.makespan, report.ticks, report.questions_posted)
     )
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _trace_digest(tracer):
+    """SHA-256 of the trace stream with wall-clock ``seconds`` zeroed.
+
+    ``seconds`` fields (``SpanCompleted``, ``DPTableBuilt``) are the only
+    wall-clock payloads; every other field is simulated and must match
+    bit for bit.
+    """
+    digest = hashlib.sha256()
+    for record in tracer.records:
+        event = record.event
+        if hasattr(event, "seconds"):
+            event = dataclasses.replace(event, seconds=0.0)
+        digest.update(repr((event, record.sim_time)).encode())
+    return digest.hexdigest()
 
 
 def _steady_perfect(workdir):
@@ -106,18 +125,25 @@ def _duo_hedged_journaled(workdir):
 
 CASES = {
     "steady_300_perfect": _steady_perfect,
+    "steady_300_perfect_traced": _steady_perfect,
     "uniform_error_0.2_repetition_2": _uniform_error_repetition_2,
     "lossy_retry_breaker": _lossy_retry_breaker,
     "duo_hedged_journaled": _duo_hedged_journaled,
 }
 
+TRACED = {"steady_300_perfect_traced"}
+
 
 def run_case(name):
     """Run one case; returns its digest record and the finished scheduler."""
+    tracer = RecordingTracer(clock=lambda: 0.0)
     with tempfile.TemporaryDirectory() as workdir:
-        scheduler, journal = CASES[name](workdir)
-        report = scheduler.run()
+        with use_tracer(tracer) if name in TRACED else contextlib.nullcontext():
+            scheduler, journal = CASES[name](workdir)
+            report = scheduler.run()
         record = {"report_sha256": _report_digest(report)}
+        if name in TRACED:
+            record["trace_sha256"] = _trace_digest(tracer)
         if journal is not None:
             journal.close()
             record["journal_sha256"] = hashlib.sha256(
