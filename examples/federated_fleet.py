@@ -33,9 +33,7 @@ def run(backends=None, routing="latency"):
         config=ServiceConfig(routing=routing),
         backends=backends,
     )
-    report = scheduler.run()
-    rows = scheduler.router.summary() if scheduler.router is not None else []
-    return report, rows
+    return scheduler.run(), scheduler.router.summary()
 
 
 def describe(tag, report, rows):
@@ -50,9 +48,9 @@ def describe(tag, report, rows):
 
 
 def main():
-    print("single platform (no router):")
+    print("single platform (the scheduler's default one-backend fleet):")
     report, rows = run()
-    describe("direct", report, rows)
+    describe("single", report, rows)
 
     print("\nthree-backend fleet ('trio' preset), per routing policy:")
     for policy in ("latency", "least-loaded", "weighted-price"):

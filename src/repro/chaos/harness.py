@@ -51,9 +51,10 @@ class ChaosScenario:
         latency: planning latency model (``None`` = the paper's MTurk fit).
         snapshot_interval: journal snapshot cadence in ticks.
         backends: federate the run across this fleet of
-            :class:`~repro.crowd.multibackend.BackendSpec` s instead of one
-            shared platform (mutually exclusive with ``faults``/``breaker``;
-            per-backend fault profiles and breakers live in the specs).
+            :class:`~repro.crowd.multibackend.BackendSpec` s instead of the
+            scheduler's one default backend (the scheduler rejects it
+            alongside ``faults``/``breaker``; per-backend fault profiles
+            and breakers live in the specs).
     """
 
     workload: str = "smoke"
@@ -66,18 +67,6 @@ class ChaosScenario:
     latency: Optional[LatencyFunction] = None
     snapshot_interval: int = 1
     backends: Optional[Tuple[BackendSpec, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.backends is not None and self.faults is not None:
-            raise InvalidParameterError(
-                "faults and backends are mutually exclusive; attach fault "
-                "profiles to individual BackendSpecs instead"
-            )
-        if self.backends is not None and self.breaker is not None:
-            raise InvalidParameterError(
-                "breaker and backends are mutually exclusive; attach "
-                "breakers to individual BackendSpecs instead"
-            )
 
 
 @dataclass(frozen=True)

@@ -977,16 +977,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.backends is not None:
         from repro.crowd.multibackend import resolve_backends
 
-        if args.faults is not None:
-            raise InvalidParameterError(
-                "--faults and --backends are mutually exclusive; attach "
-                "per-backend fault profiles to the backend specs"
-            )
-        if args.breaker:
-            raise InvalidParameterError(
-                "--breaker and --backends are mutually exclusive; attach "
-                "per-backend breakers to the backend specs"
-            )
         backends = resolve_backends(args.backends)
     fault_profile = (
         fault_profile_by_name(args.faults) if args.faults is not None else None
@@ -1080,7 +1070,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"journal: {args.journal} (snapshot every "
               f"{args.snapshot_interval} tick(s))")
     print(report.render(per_query=args.per_query))
-    if scheduler.router is not None:
+    if backends is not None:
         print("fleet:")
         for row in scheduler.router.summary():
             print(

@@ -7,12 +7,12 @@ wrapper, an optional circuit breaker, and its *own*
 :class:`~repro.crowd.rwl.ReliableWorkerLayer` — so repetition, majority
 voting and retry backoff all draw from per-backend RNG streams.
 
-RNG stream contract (the single-backend zero-cost guarantee):
+RNG stream contract:
 
-* a fleet of **one** backend uses the legacy scheduler streams
-  ``(seed, 1)`` / ``(seed, 2)`` / ``(seed, 3)`` for platform / RWL /
-  faults, so routing through a one-backend fleet is bit-identical to
-  posting directly to the platform;
+* a fleet of **one** backend — the fleet a scheduler builds when given
+  none — uses the scheduler streams ``(seed, 1)`` / ``(seed, 2)`` /
+  ``(seed, 3)`` for platform / RWL / faults, so a one-backend run draws
+  exactly what a single platform would;
 * a fleet of **N > 1** derives backend *i*'s streams as ``(seed, 1, i)``
   / ``(seed, 2, i)`` / ``(seed, 3, i)`` — independent per backend, so one
   backend's faults never perturb another's answers, and the journal can
@@ -144,14 +144,14 @@ class Backend:
         faulty = self.faulty
         inner = self.inner
         rng_states = payload["rng"]
+        if faulty is not None and rng_states["fault"] is None:
+            raise JournalCorruptError(
+                f"snapshot lacks the fault RNG state of faulty backend "
+                f"{self.name!r}"
+            )
         inner._rng = _generator_from_state(rng_states["platform"])
         self.rwl._rng = _generator_from_state(rng_states["rwl"])
         if faulty is not None:
-            if rng_states["fault"] is None:
-                raise JournalCorruptError(
-                    f"snapshot lacks the fault RNG state of faulty backend "
-                    f"{self.name!r}"
-                )
             faulty._fault_rng = _generator_from_state(rng_states["fault"])
             fault = payload["fault"]
             faulty.fault_stats = FaultStats(**fault["stats"])

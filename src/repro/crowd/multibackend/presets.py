@@ -5,8 +5,8 @@ presets below — small, heterogeneous fleets built around the paper's
 fitted MTurk model (``mturk_car_latency``: L(q) = 239 + 0.06 q) so the
 routing tradeoffs are visible at workload scale:
 
-* ``solo`` — one MTurk-shaped backend, unbounded, no faults: the fleet
-  that must be bit-identical to running without a router at all.
+* ``solo`` — one MTurk-shaped backend, unbounded, no faults: the same
+  crowd a scheduler without ``--backends`` posts to.
 * ``duo`` — a fast boutique platform with a small worker pool next to a
   slow bulk platform with a large one.
 * ``trio`` — fast/balanced/cheap, each with its own capacity and price;

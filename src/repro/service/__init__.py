@@ -61,7 +61,7 @@ from repro.service.policies import (
     policy_by_name,
 )
 from repro.service.query import QueryResult, QuerySpec, QueryState
-from repro.service.report import ServiceReport, nearest_rank_percentile
+from repro.service.report import ServiceReport
 from repro.service.scheduler import ActiveQuery, MaxScheduler, ServiceConfig
 from repro.service.telemetry import (
     TICK_HISTORY_LIMIT,
@@ -119,7 +119,6 @@ __all__ = [
     "generate_workload",
     # report
     "ServiceReport",
-    "nearest_rank_percentile",
     # telemetry
     "TickSample",
     "TICK_HISTORY_LIMIT",

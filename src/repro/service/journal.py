@@ -46,13 +46,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.crowd.breaker import CircuitBreakerConfig
-from repro.crowd.faults import FaultProfile, FaultStats, FaultyPlatform, RetryPolicy
+from repro.crowd.faults import FaultProfile, RetryPolicy
 from repro.crowd.multibackend import (
     HedgeConfig,
     backend_spec_from_dict,
     backend_spec_to_dict,
 )
-from repro.crowd.platform import PlatformStats, SimulatedPlatform
 from repro.errors import InvalidParameterError, JournalCorruptError
 from repro.obs.events import CheckpointWritten, RecoveryCompleted
 from repro.obs.metrics import get_registry
@@ -306,59 +305,10 @@ def snapshot_scheduler(scheduler: MaxScheduler) -> Dict[str, Any]:
     The immutable construction arguments (specs, latency, config, seed)
     live in the journal header; this captures what evolves: the clock and
     counters, the backlog/waiting/active/results queues, every session
-    (mid-round included), the RNG bit-generator states of the platform,
-    RWL and fault streams, platform/fault statistics, plan-cache contents
-    and the circuit breaker.
+    (mid-round included), plan-cache contents and, per fleet backend, the
+    RNG bit-generator states of its platform, RWL and fault streams, its
+    platform/fault statistics and its circuit breaker.
     """
-    if scheduler._router is not None:
-        # Federated mode: the platform/RWL/fault/breaker state lives
-        # inside each Backend; the legacy top-level slots stay None so
-        # old readers fail loudly rather than restore half a fleet.
-        crowd_state: Dict[str, Any] = {
-            "rng": None,
-            "platform": None,
-            "fault": None,
-            "breaker": None,
-            "backends": [
-                backend.state_dict()
-                for backend in scheduler._router.backends
-            ],
-        }
-    else:
-        platform = scheduler.platform
-        faulty = platform if isinstance(platform, FaultyPlatform) else None
-        inner: SimulatedPlatform = (
-            faulty.inner if faulty is not None else platform
-        )
-        crowd_state = {
-            "rng": {
-                "platform": inner._rng.bit_generator.state,
-                "rwl": scheduler._rwl._rng.bit_generator.state,
-                "fault": (
-                    faulty._fault_rng.bit_generator.state
-                    if faulty is not None
-                    else None
-                ),
-            },
-            "platform": {
-                "next_worker_id": inner._next_worker_id,
-                "stats": dataclasses.asdict(inner.stats),
-            },
-            "fault": (
-                {
-                    "stats": faulty.fault_stats.as_dict(),
-                    "clock": float(faulty.clock),
-                }
-                if faulty is not None
-                else None
-            ),
-            "breaker": (
-                scheduler.breaker.state_dict()
-                if scheduler.breaker is not None
-                else None
-            ),
-            "backends": None,
-        }
     return {
         "now": float(scheduler._now),
         "ticks": scheduler._ticks,
@@ -384,9 +334,8 @@ def snapshot_scheduler(scheduler: MaxScheduler) -> Dict[str, Any]:
             "stats": dataclasses.asdict(scheduler.plan_cache.stats),
         },
         "router": (
-            scheduler._router.state_dict()
-            if scheduler._router is not None
-            and scheduler._router.hedge is not None
+            scheduler.router.state_dict()
+            if scheduler.router.hedge is not None
             else None
         ),
         "brownout": (
@@ -404,7 +353,16 @@ def snapshot_scheduler(scheduler: MaxScheduler) -> Dict[str, Any]:
             if scheduler._flight is not None
             else None
         ),
-        **crowd_state,
+        # The crowd state lives in the fleet's backends.  The top-level
+        # slots stay null: journals written before every scheduler owned
+        # a fleet filled them in, and recovery rejects those snapshots.
+        "rng": None,
+        "platform": None,
+        "fault": None,
+        "breaker": None,
+        "backends": [
+            backend.state_dict() for backend in scheduler.router.backends
+        ],
     }
 
 
@@ -416,7 +374,24 @@ def restore_scheduler_state(
     The scheduler must have been constructed from the matching journal
     header (same seed/specs/config), so its immutable pieces — ground
     truth, element offsets, policy, allocator — are already identical.
+
+    Raises:
+        JournalCorruptError: when the snapshot's backend states do not
+            match the configured fleet, as in a snapshot written before
+            every scheduler owned a fleet (``backends: null``).  This is
+            checked before any state is restored.
     """
+    backends_payload = snapshot.get("backends")
+    fleet = scheduler.router.backends
+    if not isinstance(backends_payload, list) or len(backends_payload) != len(
+        fleet
+    ):
+        raise JournalCorruptError(
+            "snapshot backend states do not match the configured fleet"
+        )
+    for backend, backend_payload in zip(fleet, backends_payload):
+        backend.load_state_dict(backend_payload)
+
     scheduler._now = float(snapshot["now"])
     scheduler._ticks = int(snapshot["ticks"])
     scheduler._shared_rounds = int(snapshot["shared_rounds"])
@@ -427,38 +402,6 @@ def restore_scheduler_state(
     scheduler._active = [_active_query_from_dict(d) for d in snapshot["active"]]
     scheduler.restore_results([_result_from_dict(d) for d in snapshot["results"]])
 
-    if scheduler._router is not None:
-        backends_payload = snapshot.get("backends")
-        fleet = scheduler._router.backends
-        if not isinstance(backends_payload, list) or len(
-            backends_payload
-        ) != len(fleet):
-            raise JournalCorruptError(
-                "snapshot backend states do not match the configured fleet"
-            )
-        for backend, backend_payload in zip(fleet, backends_payload):
-            backend.load_state_dict(backend_payload)
-    else:
-        platform = scheduler.platform
-        faulty = platform if isinstance(platform, FaultyPlatform) else None
-        inner: SimulatedPlatform = (
-            faulty.inner if faulty is not None else platform
-        )
-        rng_states = snapshot["rng"]
-        inner._rng = _generator_from_state(rng_states["platform"])
-        scheduler._rwl._rng = _generator_from_state(rng_states["rwl"])
-        if faulty is not None:
-            if rng_states["fault"] is None:
-                raise JournalCorruptError(
-                    "snapshot lacks the fault RNG state of a faulty platform"
-                )
-            faulty._fault_rng = _generator_from_state(rng_states["fault"])
-            fault = snapshot["fault"]
-            faulty.fault_stats = FaultStats(**fault["stats"])
-            faulty.clock = float(fault["clock"])
-        inner._next_worker_id = int(snapshot["platform"]["next_worker_id"])
-        inner.stats = PlatformStats(**snapshot["platform"]["stats"])
-
     cache = snapshot["plan_cache"]
     scheduler.plan_cache.clear()
     for key_payload, allocation_payload in cache["entries"]:
@@ -468,13 +411,9 @@ def restore_scheduler_state(
     # After the puts, so re-inserting does not perturb the counters.
     scheduler.plan_cache.stats = PlanCacheStats(**cache["stats"])
 
-    breaker_state = snapshot.get("breaker")
-    if scheduler.breaker is not None and breaker_state is not None:
-        scheduler.breaker.load_state_dict(breaker_state)
-
     router_state = snapshot.get("router")
-    if scheduler._router is not None and router_state is not None:
-        scheduler._router.load_state_dict(router_state)
+    if router_state is not None:
+        scheduler.router.load_state_dict(router_state)
     brownout_state = snapshot.get("brownout")
     if scheduler._brownout is not None and brownout_state is not None:
         scheduler._brownout.load_state_dict(brownout_state)

@@ -15,24 +15,13 @@ a scraped ``service.query_latency`` histogram always agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.obs.attribution import ComponentStat, render_attribution
 from repro.obs.slo import HealthStatus
 from repro.obs.stats import percentile
 from repro.service.deadline import DEADLINE_OUTCOMES
 from repro.service.query import QueryResult, QueryState
-
-
-def nearest_rank_percentile(values: List[float], p: float) -> float:
-    """The nearest-rank *p*-th percentile of *values* (``0 < p <= 100``).
-
-    Alias of :func:`repro.obs.stats.percentile`, kept for its callers.
-
-    Raises:
-        InvalidParameterError: on an empty sample or out-of-range *p*.
-    """
-    return percentile(values, p)
 
 
 @dataclass(frozen=True)
@@ -151,7 +140,7 @@ class ServiceReport:
         finished = self.finished
         if not finished:
             return None
-        return nearest_rank_percentile([r.latency for r in finished], p)
+        return percentile([r.latency for r in finished], p)
 
     @property
     def p50_latency(self) -> Optional[float]:

@@ -123,15 +123,15 @@ class TestNamedScenarios:
             scenario_by_name("nonesuch")
 
     def test_backends_exclude_legacy_fault_fields(self):
-        from repro.chaos import scenario_by_name
+        from repro.chaos import build_scheduler, scenario_by_name
         from repro.crowd.breaker import CircuitBreakerConfig
 
         scenario = scenario_by_name("multibackend-outage")
         with pytest.raises(InvalidParameterError):
-            dataclasses.replace(scenario, faults="outages")
+            build_scheduler(dataclasses.replace(scenario, faults="outages"))
         with pytest.raises(InvalidParameterError):
-            dataclasses.replace(
-                scenario, breaker=CircuitBreakerConfig()
+            build_scheduler(
+                dataclasses.replace(scenario, breaker=CircuitBreakerConfig())
             )
 
     def test_multibackend_outage_recovers_bit_identically(self, tmp_path):

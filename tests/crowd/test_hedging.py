@@ -19,6 +19,7 @@ from repro.crowd.multibackend import (
     HedgeConfig,
     build_backends,
 )
+from repro.crowd.platform import as_question_array
 from repro.errors import InvalidParameterError
 from repro.obs.tracer import RecordingTracer, use_tracer
 
@@ -37,6 +38,12 @@ def _router(specs, policy="least-loaded", hedge=None, seed=0):
 
 def _questions(n, start=0):
     return [(start + i, start + i + 100) for i in range(n)]
+
+
+def _round(*blocks):
+    """``(pairs, units)`` of a round with one unit per question block."""
+    pairs = as_question_array([q for block in blocks for q in block])
+    return pairs, [(query_id, len(b)) for query_id, b in enumerate(blocks)]
 
 
 def _pair(hedge, slow_faults=None):
@@ -79,7 +86,7 @@ class TestHedgeConfig:
         router = _pair(HedgeConfig(min_samples=2, window=8))
         assert router.hedge_after_threshold() is None
         router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *_round(_questions(4), _questions(4, start=10)),
             now=0.0,
             tick=0,
         )
@@ -91,7 +98,7 @@ class TestHedgedRounds:
     def test_slow_primary_is_mirrored_to_the_fast_backend(self):
         router = _pair(HedgeConfig(hedge_after=300.0))
         outcome = router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *_round(_questions(4), _questions(4, start=10)),
             now=0.0,
             tick=0,
         )
@@ -108,7 +115,7 @@ class TestHedgedRounds:
     def test_losing_copy_is_accounted_as_waste(self):
         router = _pair(HedgeConfig(hedge_after=300.0))
         router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *_round(_questions(4), _questions(4, start=10)),
             now=0.0,
             tick=0,
         )
@@ -123,7 +130,7 @@ class TestHedgedRounds:
             ),
         )
         outcome = router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *_round(_questions(4), _questions(4, start=10)),
             now=10.0,
             tick=0,
         )
@@ -144,7 +151,7 @@ class TestHedgedRounds:
             hedge=HedgeConfig(hedge_after=300.0),
         )
         outcome = router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *_round(_questions(4), _questions(4, start=10)),
             now=0.0,
             tick=0,
         )
@@ -160,7 +167,7 @@ class TestHedgedRounds:
             hedge=HedgeConfig(hedge_after=300.0),
         )
         outcome = router.post_round(
-            [(0, _questions(8)), (1, _questions(4, start=10))],
+            *_round(_questions(8), _questions(4, start=10)),
             now=0.0,
             tick=0,
         )
@@ -170,14 +177,14 @@ class TestHedgedRounds:
         router = _pair(HedgeConfig(hedge_after=300.0))
         router.hedging_suspended = True
         outcome = router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *_round(_questions(4), _questions(4, start=10)),
             now=0.0,
             tick=0,
         )
         assert not outcome.hedged_questions
         router.hedging_suspended = False
         outcome = router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *_round(_questions(4), _questions(4, start=10)),
             now=5000.0,
             tick=1,
         )
@@ -188,7 +195,7 @@ class TestHedgedRounds:
         router = _pair(HedgeConfig(hedge_after=300.0))
         with use_tracer(tracer):
             router.post_round(
-                [(0, _questions(4)), (1, _questions(4, start=10))],
+                *_round(_questions(4), _questions(4, start=10)),
                 now=0.0,
                 tick=3,
             )
@@ -204,7 +211,7 @@ class TestHedgedRounds:
     def test_state_dict_round_trips_hedge_totals(self):
         router = _pair(HedgeConfig(hedge_after=300.0))
         router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *_round(_questions(4), _questions(4, start=10)),
             now=0.0,
             tick=0,
         )

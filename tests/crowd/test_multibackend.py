@@ -38,10 +38,6 @@ def _fleet(specs, seed=0, **kwargs):
     return build_backends(specs, _truth(seed=seed), seed, **kwargs)
 
 
-def _questions(n, start=0):
-    return [(start + i, start + i + 100) for i in range(n)]
-
-
 class TestBackendSpec:
     def test_rejects_empty_and_multiline_names(self):
         with pytest.raises(InvalidParameterError):
@@ -185,7 +181,7 @@ class TestRouterAssignment:
             ]
         )
         assignment, unposted, _ = router._assign(
-            [(0, _questions(5))], self._post(router)
+            [(0, 5)], self._post(router)
         )
         assert not unposted
         assert len(assignment[1]) == 5  # "fast"
@@ -199,7 +195,7 @@ class TestRouterAssignment:
             ]
         )
         assignment, unposted, _ = router._assign(
-            [(0, _questions(10))], self._post(router)
+            [(0, 10)], self._post(router)
         )
         assert len(assignment[0]) == 4
         assert len(assignment[1]) == 3
@@ -213,7 +209,7 @@ class TestRouterAssignment:
             ]
         )
         assignment, unposted, _ = router._assign(
-            [(0, _questions(6))], self._post(router)
+            [(0, 6)], self._post(router)
         )
         # Slower, but the only backend that takes the block whole.
         assert len(assignment[1]) == 6
@@ -235,7 +231,7 @@ class TestRouterAssignment:
             policy="weighted-price",
         )
         assignment, _, _ = router._assign(
-            [(0, _questions(5)), (1, _questions(4, start=50))],
+            [(0, 5), (1, 4)],
             self._post(router),
         )
         assert len(assignment[1]) == 5  # cheap fills first
@@ -250,7 +246,7 @@ class TestRouterAssignment:
             policy="least-loaded",
         )
         assignment, _, _ = router._assign(
-            [(0, _questions(4)), (1, _questions(4, start=50))],
+            [(0, 4), (1, 4)],
             self._post(router),
         )
         assert len(assignment[0]) == 4
@@ -265,7 +261,7 @@ class TestRouterAssignment:
         )
         decisions = {0: RoundDecision.DEFER, 1: RoundDecision.POST}
         assignment, unposted, _ = router._assign(
-            [(0, _questions(6))], decisions
+            [(0, 6)], decisions
         )
         assert len(assignment[0]) == 0
         assert len(assignment[1]) == 6
@@ -280,15 +276,14 @@ class TestRouterAssignment:
         )
         decisions = {0: RoundDecision.PROBE, 1: RoundDecision.POST}
         assignment, unposted, _ = router._assign(
-            [(0, _questions(PROBE_QUESTIONS + 20))], decisions
+            [(0, PROBE_QUESTIONS + 20)], decisions
         )
         # Too big for the probe quota: the block lands whole on the
         # healthy backend.
         assert len(assignment[1]) == PROBE_QUESTIONS + 20
         assert not unposted
         assignment, _, _ = router._assign(
-            [(0, _questions(PROBE_QUESTIONS + 20)),
-             (1, _questions(4, start=50))],
+            [(0, PROBE_QUESTIONS + 20), (1, 4)],
             {0: RoundDecision.PROBE, 1: RoundDecision.POST},
         )
         assert len(assignment[0]) <= PROBE_QUESTIONS

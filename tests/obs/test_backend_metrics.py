@@ -19,6 +19,7 @@ from repro.crowd.multibackend import (
     CapacityAwareRouter,
     build_backends,
 )
+from repro.crowd.platform import as_question_array
 from repro.obs.metrics import get_registry, labeled_name
 from repro.obs.openmetrics import render_openmetrics
 
@@ -47,9 +48,11 @@ def _routed_registry(names, rounds=3):
         for i, name in enumerate(names)
     ]
     router = CapacityAwareRouter(build_backends(specs, truth, 0))
-    questions = [(i, i + 10) for i in range(8)]
+    questions = as_question_array([(i, i + 10) for i in range(8)])
     for tick in range(rounds):
-        router.post_round([(0, questions)], now=float(tick), tick=tick)
+        router.post_round(
+            questions, [(0, len(questions))], now=float(tick), tick=tick
+        )
     return registry
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
 from repro.obs.stats import escalation_step, nearest_rank, percentile
-from repro.service.report import nearest_rank_percentile
 
 
 class TestNearestRank:
@@ -107,15 +106,3 @@ class TestEscalationStep:
             assert abs(new - old) == 1
             assert 0 <= new <= 3
 
-
-class TestServiceReportAlias:
-    def test_delegates_to_shared_definition(self):
-        values = [5.0, 1.0, 4.0, 2.0, 3.0]
-        for p in (1, 25, 50, 75, 95, 100):
-            assert nearest_rank_percentile(values, p) == percentile(values, p)
-
-    def test_same_errors(self):
-        with pytest.raises(InvalidParameterError):
-            nearest_rank_percentile([], 50)
-        with pytest.raises(InvalidParameterError):
-            nearest_rank_percentile([1.0], 0)

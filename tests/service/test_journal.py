@@ -166,7 +166,7 @@ class TestRecovery:
             victim.step()
         journal.close()
         recovered = recover_scheduler(path)
-        assert recovered.breaker is not None
+        assert recovered.router.backends[0].breaker is not None
         report = recovered.run()
         recovered.journal.close()
         assert report == baseline
@@ -250,6 +250,28 @@ class TestCorruption:
         with pytest.raises(JournalCorruptError, match="snapshot"):
             recover_scheduler(path)
 
+    def test_pre_fleet_snapshot_layout_raises_typed_error(self, tmp_path):
+        # Before every scheduler owned a backend fleet, a fleet-less run
+        # kept its crowd state in top-level slots and wrote no backends.
+        path = self._journal_after_steps(tmp_path)
+        records = [
+            json.loads(line)
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        for record in records:
+            if record["record"] == "snapshot":
+                snapshot = record["payload"]
+                (backend,) = snapshot["backends"]
+                for key in ("rng", "platform", "fault", "breaker"):
+                    snapshot[key] = backend[key]
+                snapshot["backends"] = None
+        path.write_text(
+            "".join(json.dumps(record) + "\n" for record in records),
+            encoding="utf-8",
+        )
+        with pytest.raises(JournalCorruptError, match="fleet"):
+            recover_scheduler(path, resume_journal=False)
+
     def test_corruption_errors_never_leak_json_tracebacks(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_text("{not json\n", encoding="utf-8")
@@ -281,7 +303,10 @@ class TestHeaderRoundTrip:
         rebuilt = scheduler_from_header(header)
         assert rebuilt.seed == original.seed
         assert rebuilt.config == original.config
-        assert rebuilt.breaker.config == original.breaker.config
+        assert (
+            rebuilt.router.backends[0].breaker.config
+            == original.router.backends[0].breaker.config
+        )
         # Both untouched schedulers must then run identically.
         assert rebuilt.run() == _scheduler(**kwargs).run()
 
