@@ -44,6 +44,8 @@ from repro.service.journal import (
     JOURNAL_VERSION,
     JournalContents,
     SchedulerJournal,
+    encode_record,
+    fold_finished_state,
     read_journal,
     recover_scheduler,
     restore_scheduler_state,
@@ -130,6 +132,8 @@ __all__ = [
     "SchedulerJournal",
     "JournalContents",
     "JOURNAL_VERSION",
+    "encode_record",
+    "fold_finished_state",
     "read_journal",
     "recover_scheduler",
     "restore_scheduler_state",

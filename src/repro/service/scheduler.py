@@ -367,15 +367,18 @@ class MaxScheduler:
         self._policy = policy_by_name(self.config.policy)
         self._allocator = allocator_by_name(self.config.allocator)
         self._admission = AdmissionController(self.config.admission_config())
-        # Arrival order (query_id as tie-break) is the admission offer order.
-        self._backlog: List[QuerySpec] = sorted(
-            specs, key=lambda s: (s.arrival_time, s.query_id)
+        # Arrival order (query_id as tie-break) is the admission offer
+        # order.  The backlog only shrinks from the front, so it is always
+        # a suffix of it.
+        self._arrivals: Tuple[QuerySpec, ...] = tuple(
+            sorted(specs, key=lambda s: (s.arrival_time, s.query_id))
         )
+        self._backlog: List[QuerySpec] = list(self._arrivals)
         # Element-space slicing: each query gets a disjoint global range,
         # assigned in arrival order so offsets are workload-deterministic.
         self._offsets: Dict[int, int] = {}
         total = 0
-        for spec in self._backlog:
+        for spec in self._arrivals:
             self._offsets[spec.query_id] = total
             total += spec.n_elements
         self._total_elements = total
@@ -490,6 +493,9 @@ class MaxScheduler:
         self._outcomes = OutcomeCounts.of(self._results)
 
     def _add_result(self, result: QueryResult) -> None:
+        # The journal's finalize/shed record is the only copy it keeps.
+        if self._journal is not None:
+            self._journal.record_result(len(self._results), result, self._now)
         self._results.append(result)
         self._outcomes.add(result)
 
@@ -1189,9 +1195,6 @@ class MaxScheduler:
     def _shed(self, spec: QuerySpec, reason: Optional[str] = None) -> None:
         if reason is None:
             reason = self._admission.describe_overload()
-        self._journal_record(
-            "shed", query_id=spec.query_id, reason=reason, now=self._now
-        )
         get_registry().counter("service.queries_shed").inc()
         tracer = current_tracer()
         if tracer.enabled:
@@ -1620,15 +1623,6 @@ class MaxScheduler:
         )
         if query in self._active:
             self._active.remove(query)
-        finalize_payload: Dict[str, Any] = dict(
-            query_id=spec.query_id,
-            state=state.value,
-            winner=winner,
-            now=self._now,
-        )
-        if deadline_outcome is not None:
-            finalize_payload["deadline_outcome"] = deadline_outcome
-        self._journal_record("finalize", **finalize_payload)
         registry = get_registry()
         if state is QueryState.COMPLETED:
             registry.counter("service.queries_completed").inc()

@@ -31,7 +31,7 @@ class TestRing:
         recorder.record("tick", tick=1)
         recorder.record("alert", rule="burn", action="fired")
         clone = FlightRecorder(4)
-        clone.load_state_dict(recorder.state_dict())
+        clone.load_state_dict(recorder.state_dict(), recorder.entries())
         assert clone.entries() == recorder.entries()
 
     def test_restored_ring_keeps_evicting(self):
@@ -39,7 +39,7 @@ class TestRing:
         recorder.record("tick", tick=1)
         recorder.record("tick", tick=2)
         clone = FlightRecorder(2)
-        clone.load_state_dict(recorder.state_dict())
+        clone.load_state_dict(recorder.state_dict(), recorder.entries())
         clone.record("tick", tick=3)
         assert [e["tick"] for e in clone.entries()] == [2, 3]
 

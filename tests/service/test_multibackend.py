@@ -254,7 +254,9 @@ class TestMultiBackendRecovery:
         impostor = _scheduler(backends=backend_preset_by_name("duo"))
         snapshot = dict(contents.last_snapshot)
         with pytest.raises(JournalCorruptError):
-            restore_scheduler_state(impostor, snapshot)
+            restore_scheduler_state(
+                impostor, snapshot, contents.results, contents.ring
+            )
 
 
 def _failover_fleet(victim: int):
