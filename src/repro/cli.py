@@ -310,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=5,
         metavar="TICKS",
-        help="ticks between full journal snapshots (larger = smaller "
+        help="ticks between journal snapshots (larger = smaller "
         "journal and less overhead, more replay on recovery; 1 = "
         "snapshot every tick)",
     )
@@ -561,7 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="TICKS",
-        help="ticks between full journal snapshots",
+        help="ticks between journal snapshots",
     )
     crash_sched = chaos.add_mutually_exclusive_group()
     crash_sched.add_argument(
