@@ -9,15 +9,19 @@ Tournament formation in the worst case — can be probed experimentally for
 selectors whose worst case is hard to reason about (SPREAD, CT25, ...).
 
 Computing a maximum independent set is NP-hard, so the adversary offers
-two modes: ``exact`` (branch-and-bound; fine for the paper-scale rounds of
-tournament graphs and for small collections) and ``greedy`` (min-degree
-heuristic; a *legal but possibly suboptimal* adversary, i.e. the reported
-latency is a lower bound on the true worst case).
+two modes.  ``exact`` (:func:`~repro.graphs.candidates.max_independent_set`)
+solves each connected component of the round's question graph on its own
+and settles a complete component in one step, so a tournament round (a
+union of disjoint cliques) costs one linear pass; other graphs, such as
+SPREAD's near-regular ones, branch and stay exponential in the size of
+their largest component.  ``greedy`` (min-degree heuristic) is a *legal
+but possibly suboptimal* adversary: the reported latency is a lower bound
+on the true worst case.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -26,7 +30,11 @@ from repro.core.latency import LatencyFunction
 from repro.engine.results import MaxRunResult, RoundRecord
 from repro.errors import InvalidParameterError
 from repro.graphs.answer_graph import AnswerGraph
-from repro.graphs.candidates import max_independent_set, worst_case_answers
+from repro.graphs.candidates import (
+    _adjacency,
+    max_independent_set,
+    worst_case_answers,
+)
 from repro.selection.base import QuestionSelector, SelectionContext
 from repro.selection.scoring import score_candidates
 from repro.types import Element, Question
@@ -41,14 +49,7 @@ def greedy_independent_set(
     Not necessarily maximum, but always independent and maximal — a legal
     adversary choice.
     """
-    adjacency: Dict[Element, Set[Element]] = {e: set() for e in elements}
-    for a, b in questions:
-        if a not in adjacency or b not in adjacency:
-            raise InvalidParameterError(
-                f"question ({a}, {b}) references elements outside the graph"
-            )
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+    adjacency = _adjacency(elements, questions)
     active = set(adjacency)
     chosen: Set[Element] = set()
     while active:

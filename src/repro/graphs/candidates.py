@@ -14,10 +14,19 @@ Implements the graph-theoretic machinery of Section 4 and Appendix A:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.errors import InvalidParameterError
+from repro.obs.profiling import PROFILER
 from repro.types import Answer, Element, Question, normalize_question
+
+try:
+    _popcount = int.bit_count
+except AttributeError:  # Python < 3.10
+
+    def _popcount(mask: int) -> int:
+        return bin(mask).count("1")
 
 
 def _adjacency(
@@ -43,51 +52,150 @@ def max_independent_set(
 ) -> Set[Element]:
     """An exact maximum independent set of the undirected question graph.
 
-    Uses a branch-and-bound recursion (branch on a max-degree vertex:
-    either exclude it, or include it and drop its neighborhood).  Isolated
-    vertices are always included.  Exponential in the worst case — intended
-    for analysis and tests, not for the inner loop of selectors.
+    The solver works component by component on bitmasks (bit ``i`` is the
+    ``i``-th smallest element).  Each step first peels every vertex of
+    degree <= 1: an isolated vertex always joins the MIS, and a degree-1
+    vertex can always replace its single neighbor.  What is left splits
+    into connected components, solved independently:
+
+    * a complete component (``2|E| = k(k - 1)``) contributes exactly one
+      element, its smallest;
+    * any other component branches and recurses through the same
+      peel / split steps.  It branches on its smallest degree-2 vertex
+      ``v`` when it has one (some MIS holds ``v`` or both its neighbors,
+      or just ``v`` when they are adjacent), and otherwise on its smallest
+      max-degree vertex (in the MIS or not).
+
+    A round of tournament formation is a union of disjoint cliques, so its
+    MIS costs one linear pass with no branching at all.  Other graphs stay
+    exponential in the worst case, but only within a component.  Every tie
+    is broken by element order, so the chosen set depends on the graph
+    alone, not on the order of *questions* or of set iteration.
+
+    With :data:`repro.obs.profiling.PROFILER` enabled, each call adds to
+    the work counters ``mis.calls``, ``mis.components``,
+    ``mis.clique_components`` and ``mis.branch_nodes``.
     """
     adjacency = _adjacency(elements, questions)
+    order = sorted(adjacency)
+    index = {element: i for i, element in enumerate(order)}
+    masks = []
+    for element in order:
+        mask = 0
+        for neighbor in adjacency[element]:
+            mask |= 1 << index[neighbor]
+        masks.append(mask)
+    # [components, clique components, branch nodes]
+    tally = [0, 0, 0]
+    everyone = (1 << len(order)) - 1
+    chosen = _solve_mis(masks, everyone, everyone, tally)
+    if PROFILER.enabled:
+        PROFILER.add("mis.calls")
+        PROFILER.add("mis.components", tally[0])
+        PROFILER.add("mis.clique_components", tally[1])
+        PROFILER.add("mis.branch_nodes", tally[2])
+    return {order[i] for i in _bits(chosen)}
 
-    def solve(active: Set[Element]) -> Set[Element]:
-        # Strip vertices of degree <= 1 greedily: an isolated vertex always
-        # joins the MIS; a degree-1 vertex can always join it (keeping the
-        # vertex is never worse than keeping its single neighbor).
-        active = set(active)
-        chosen: Set[Element] = set()
-        while True:
-            degree_one = None
-            changed = False
-            for v in active:
-                neighbors = adjacency[v] & active
-                if not neighbors:
-                    chosen.add(v)
-                    active.remove(v)
-                    changed = True
-                    break
-                if len(neighbors) == 1:
-                    degree_one = v
-                    break
-            if degree_one is not None:
-                neighbor = next(iter(adjacency[degree_one] & active))
-                chosen.add(degree_one)
-                active.discard(degree_one)
-                active.discard(neighbor)
-                continue
-            if not changed:
-                break
-        if not active:
-            return chosen
-        pivot = max(active, key=lambda v: len(adjacency[v] & active))
-        # Branch 1: exclude the pivot.
-        without = solve(active - {pivot})
-        # Branch 2: include the pivot, excluding its whole neighborhood.
-        with_pivot = {pivot} | solve(active - {pivot} - adjacency[pivot])
-        best = with_pivot if len(with_pivot) > len(without) else without
-        return chosen | best
 
-    return solve(set(adjacency))
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of *mask*, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _solve_mis(masks: List[int], live: int, touched: int, tally: List[int]) -> int:
+    """An MIS (as a bitmask) of the subgraph induced by *live*.
+
+    Only vertices in *touched* may have degree <= 1 on entry.
+    """
+    chosen = 0
+    # Ascending, so already a heap: vertices peel in element order.
+    low = [i for i in _bits(touched & live) if _popcount(masks[i] & live) <= 1]
+    while low:
+        v = heappop(low)
+        bit = 1 << v
+        if not live & bit:
+            continue
+        neighbor = masks[v] & live
+        chosen |= bit
+        live ^= bit
+        if neighbor:
+            live ^= neighbor
+            for w in _bits(masks[neighbor.bit_length() - 1] & live):
+                if _popcount(masks[w] & live) <= 1:
+                    heappush(low, w)
+
+    rest = live
+    while rest:
+        # Breadth-first search from the smallest remaining vertex, noting
+        # each vertex's (degree, index) on the way.
+        component = frontier = rest & -rest
+        degrees = []
+        while frontier:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                v = bit.bit_length() - 1
+                neighbors = masks[v] & live
+                reach |= neighbors
+                degrees.append((_popcount(neighbors), v))
+            frontier = reach & ~component
+            component |= frontier
+        rest ^= component
+        tally[0] += 1
+        k = len(degrees)
+        edges2 = sum(d for d, _ in degrees)
+        if edges2 == k * (k - 1):
+            tally[1] += 1
+            chosen |= component & -component
+        else:
+            chosen |= _branch(masks, component, degrees, tally)
+    return chosen
+
+
+def _branch(
+    masks: List[int],
+    component: int,
+    degrees: List[Tuple[int, int]],
+    tally: List[int],
+) -> int:
+    """An MIS of a connected, non-clique subgraph with degrees >= 2.
+
+    *degrees* lists ``(degree, vertex)`` for every vertex of *component*.
+    """
+    bottom, v = min(degrees)
+    neighbors = masks[v] & component
+    second = 0
+    if bottom == 2:
+        u, w = _bits(neighbors)
+        if not masks[u] >> w & 1:
+            # Some MIS holds v or both u and w.  (If u and w are adjacent,
+            # v is simplicial and some MIS holds it: no second branch.)
+            tally[2] += 1
+            gone = neighbors | masks[u] | masks[w]
+            rest = component & ~gone
+            second = neighbors | _solve_mis(masks, rest, _reach(masks, gone), tally)
+    else:
+        # The smallest max-degree vertex is in some MIS, or in none.
+        top = max(d for d, _ in degrees)
+        v = min(x for d, x in degrees if d == top)
+        neighbors = masks[v] & component
+        tally[2] += 1
+        second = _solve_mis(masks, component & ~(1 << v), neighbors, tally)
+    gone = 1 << v | neighbors
+    first = 1 << v | _solve_mis(masks, component & ~gone, _reach(masks, gone), tally)
+    return first if _popcount(first) >= _popcount(second) else second
+
+
+def _reach(masks: List[int], removed: int) -> int:
+    """Every vertex adjacent to *removed*."""
+    reach = 0
+    for v in _bits(removed):
+        reach |= masks[v]
+    return reach
 
 
 def max_remaining_candidates(

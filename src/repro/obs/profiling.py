@@ -1,7 +1,8 @@
 """Zero-overhead-when-disabled profiling counters for the solver hot path.
 
-The tDP solvers (:mod:`repro.core.tdp`, :mod:`repro.core.tdp_memo`) and
-the service plan cache are the CPU-bound core of the reproduction; the
+The tDP solvers (:mod:`repro.core.tdp`, :mod:`repro.core.tdp_memo`), the
+exact maxRC solver (:func:`repro.graphs.candidates.max_independent_set`)
+and the service plan cache are the CPU-bound core of the reproduction; the
 upcoming raw-speed pass needs *deterministic* work counters (cells
 evaluated, memo hits, frontier widths) to be judged against, not just
 wall time.  This module provides them with the same discipline the

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.latency import LinearLatency
+from repro.core.latency import LinearLatency, mturk_car_latency
 from repro.core.tdp import TDPAllocator, solve_min_latency
 from repro.engine.adversarial import (
     AdversarialMaxEngine,
     greedy_independent_set,
 )
 from repro.errors import InvalidParameterError
+from repro.obs.profiling import profiled
 from repro.selection.spread import Spread
 from repro.selection.tournament import TournamentFormation
 
@@ -39,6 +40,10 @@ class TestGreedyIndependentSet:
         with pytest.raises(InvalidParameterError):
             greedy_independent_set([0, 1], [(0, 9)])
 
+    def test_self_comparison_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            greedy_independent_set([0, 1], [(1, 1)])
+
 
 class TestAdversarialRuns:
     def test_tournament_worst_case_matches_plan(self):
@@ -55,6 +60,9 @@ class TestAdversarialRuns:
         )
         result = engine.run(n, allocation)
         assert result.singleton_termination
+        executed = [r.candidates_before for r in result.records]
+        executed.append(result.records[-1].candidates_after)
+        assert tuple(executed) == allocation.element_sequence
         plan = solve_min_latency(n, budget, LATENCY)
         assert result.total_latency == pytest.approx(plan.total_latency)
 
@@ -105,3 +113,32 @@ class TestAdversarialRuns:
         )
         with pytest.raises(InvalidParameterError):
             engine.run(0, TDPAllocator().allocate(10, 50, LATENCY))
+
+
+class TestMisWorkCounters:
+    """The exact adversary's MIS work counters (``mis.*``) are exact."""
+
+    @staticmethod
+    def _profile_tournament():
+        latency = mturk_car_latency()
+        allocation = TDPAllocator().allocate(60, 400, latency)
+        engine = AdversarialMaxEngine(
+            TournamentFormation(spend_leftover=False),
+            latency,
+            np.random.default_rng(3),
+            mode="exact",
+        )
+        with profiled(publish=False) as profiler:
+            result = engine.run(60, allocation)
+            counts = profiler.snapshot()
+        return result, counts
+
+    def test_tournament_rounds_never_branch(self):
+        """A tournament round is a union of disjoint cliques: every
+        component settles in one step (c0=60, b=400)."""
+        result, counts = self._profile_tournament()
+        assert result.singleton_termination
+        assert counts["mis.branch_nodes"] == 0
+        assert counts["mis.calls"] == len(result.records)
+        assert counts["mis.clique_components"] > 0
+        assert self._profile_tournament()[1] == counts

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,8 @@ from repro.graphs.candidates import (
     max_remaining_candidates,
     worst_case_answers,
 )
-from repro.graphs.tournaments import tournament_question_graph
+from repro.graphs.tournaments import form_tournaments, tournament_question_graph
+from repro.obs.profiling import profiled
 
 
 def random_graph(n, data):
@@ -43,6 +45,55 @@ def brute_force_mis_size(nodes, edges) -> int:
             if all(not (adjacency[v] & subset_set) for v in subset):
                 return r
     return best
+
+
+def exhaustive_mis_size(n, edges) -> int:
+    """MIS size of a graph on 0..n-1 by enumerating all 2^n vertex subsets.
+
+    ``independent[mask]`` holds for a subset iff it does for the subset
+    without its lowest vertex and that vertex has no neighbor in it.
+    """
+    neighbors = [0] * n
+    for a, b in edges:
+        neighbors[a] |= 1 << b
+        neighbors[b] |= 1 << a
+    independent = [True] * (1 << n)
+    best = 0
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        independent[mask] = independent[rest] and not (
+            neighbors[low.bit_length() - 1] & rest
+        )
+        if independent[mask]:
+            best = max(best, bin(mask).count("1"))
+    return best
+
+
+@st.composite
+def mis_graphs(draw):
+    """A graph on 0..n-1 (n <= 14) from one of three families: G(n, p),
+    a disjoint union of cliques, or such a union plus random cross edges."""
+    n = draw(st.integers(1, 14))
+    family = draw(st.sampled_from(["gnp", "cliques", "cliques+cross"]))
+    rand = draw(st.randoms(use_true_random=False))
+    if family == "gnp":
+        p = draw(st.floats(0.0, 1.0))
+        edges = {
+            (a, b) for a in range(n) for b in range(a + 1, n) if rand.random() < p
+        }
+    else:
+        groups = form_tournaments(
+            list(range(n)),
+            draw(st.integers(1, n)),
+            np.random.default_rng(rand.getrandbits(32)),
+        )
+        edges = set(tournament_question_graph(groups))
+        if family == "cliques+cross" and n > 1:
+            for _ in range(draw(st.integers(1, n))):
+                a, b = sorted(rand.sample(range(n), 2))
+                edges.add((a, b))
+    return n, sorted(edges), rand
 
 
 def brute_force_max_rc_size(nodes, edges) -> int:
@@ -100,6 +151,56 @@ class TestMaxIndependentSet:
         )
         # Maximality:
         assert len(mis) == brute_force_mis_size(nodes, edges)
+
+    @given(mis_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exhaustive_enumeration(self, graph):
+        """Differential test against subset enumeration on n <= 14: the
+        result is independent, of maximum size, and the same set whatever
+        the order and orientation of the questions."""
+        n, edges, rand = graph
+        mis = max_independent_set(range(n), edges)
+        edge_set = set(edges)
+        assert not any((a, b) in edge_set for a in mis for b in mis if a < b)
+        assert len(mis) == exhaustive_mis_size(n, edges)
+        shuffled = [(b, a) if rand.random() < 0.5 else (a, b) for a, b in edges]
+        rand.shuffle(shuffled)
+        assert max_independent_set(reversed(range(n)), shuffled) == mis
+
+    def test_disjoint_cliques_take_smallest_members(self):
+        """A clique component settles to its smallest element."""
+        groups = [[5, 1, 9], [0, 7], [3, 8, 2, 6], [4]]
+        edges = tournament_question_graph(groups)
+        assert max_independent_set(range(10), edges) == {1, 0, 2, 4}
+
+    def test_work_counters(self):
+        """Disjoint cliques settle without branching; the Petersen graph
+        (3-regular, MIS 4) must branch.  The counters are exact work counts."""
+        cliques = tournament_question_graph([[0, 1, 2], [3, 4, 5, 6], [7, 8]])
+        with profiled(publish=False) as profiler:
+            assert len(max_independent_set(range(9), cliques)) == 3
+            counts = profiler.snapshot()
+        # The 2-clique is peeled; the other two settle as components.
+        assert counts == {
+            "mis.branch_nodes": 0,
+            "mis.calls": 1,
+            "mis.clique_components": 2,
+            "mis.components": 2,
+        }
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        spokes = [(i, i + 5) for i in range(5)]
+        with profiled(publish=False) as profiler:
+            assert len(max_independent_set(range(10), outer + inner + spokes)) == 4
+            counts = profiler.snapshot()
+        # One branch on vertex 0 (all degrees 3); the subgraphs it leaves
+        # branch three more times on degree-2 vertices.
+        assert counts == {
+            "mis.branch_nodes": 4,
+            "mis.calls": 1,
+            "mis.clique_components": 0,
+            "mis.components": 4,
+        }
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidParameterError):
